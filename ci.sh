@@ -42,12 +42,13 @@ echo "== int8 conformance: quantized wire volume and chunk-count bit-identity ==
 cargo test -q --release -p esti-collectives --test chunked
 cargo test -q --release -p esti-runtime --test int8
 
-echo "== paged-KV conformance: paged streams bit-identical to slab, capacity gated =="
-# PR 9's paged KV cache: bit-identical slab-vs-paged token streams on
-# every decode layout (multiquery and multihead), randomized ragged
-# shared-prefix copy-on-write workloads, mid-decode crash + replay with
-# paged state, and the >= 2x shared-prefix capacity claim at an equal
-# KV position budget.
+echo "== paged-KV conformance: served streams equal isolated generate, capacity gated =="
+# The runtime's one KV store, the paged cache: served token streams equal
+# isolated generate on every decode layout (multiquery and multihead),
+# under randomized ragged shared-prefix copy-on-write workloads, through
+# a mid-decode crash + replay with paged state, and under a per-chip page
+# budget on a batch-sharded layout; plus the >= 2x shared-prefix capacity
+# claim against worst-case reservation at an equal KV position budget.
 cargo test -q --release -p esti-runtime --test paged
 
 echo "== overload conformance: preemption stream-transparent, shedding typed =="

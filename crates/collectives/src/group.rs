@@ -1446,23 +1446,26 @@ mod tests {
     #[test]
     fn collective_times_accumulate_blocking_time() {
         let stats = TrafficStats::new();
-        let members = CommGroup::create_with_stats(2, Arc::clone(&stats));
+        let mut members = CommGroup::create_with_stats(2, Arc::clone(&stats)).into_iter();
+        let m0 = members.next().expect("rank 0");
+        let m1 = members.next().expect("rank 1");
+        // Rank 1 announces that it is entering the barrier; rank 0 waits
+        // for that before its own delay, so rank 1 is the one that blocks
+        // however late the scheduler starts either thread.
+        let (entering, announced) = std::sync::mpsc::channel::<()>();
         let times = std::thread::scope(|s| {
-            let handles: Vec<_> = members
-                .into_iter()
-                .enumerate()
-                .map(|(r, m)| {
-                    s.spawn(move || {
-                        if r == 0 {
-                            // Make rank 1 demonstrably block in the barrier.
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        let _ = m.all_reduce(&Tensor::ones(vec![4]));
-                        m.times()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("member")).collect::<Vec<_>>()
+            let r1 = s.spawn(move || {
+                entering.send(()).expect("rank 0 listens");
+                let _ = m1.all_reduce(&Tensor::ones(vec![4]));
+                m1.times()
+            });
+            let r0 = s.spawn(move || {
+                announced.recv().expect("rank 1 announces itself");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let _ = m0.all_reduce(&Tensor::ones(vec![4]));
+                m0.times()
+            });
+            [r0.join().expect("member"), r1.join().expect("member")]
         });
         assert!(
             times[1].nanos(CollectiveOp::AllReduce) >= 1_000_000,

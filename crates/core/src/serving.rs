@@ -189,13 +189,13 @@ pub struct ServingReport {
     /// concurrency the KV capacity actually supported. `0` when the run
     /// does not track it (the analytical simulator).
     pub peak_decode_batch: usize,
-    /// Minimum free pages the decode tier's KV admission ledger observed
-    /// (headroom at peak occupancy). `0` when no page budget applies
-    /// (slab-backed decode, or a paged tier with no
-    /// `kv_position_budget`).
+    /// Minimum free pages of the busiest decode-tier chip's KV page pool
+    /// under the budget, sampled around every decode step (headroom at
+    /// peak occupancy). `0` when no `kv_position_budget` applies.
     pub kv_pages_free: usize,
-    /// Peak count of KV pages mapped by more than one live request
-    /// (copy-on-write prompt-prefix sharing). `0` on a slab-backed tier.
+    /// Peak count of KV pages in one chip's pool mapped by more than one
+    /// live request (copy-on-write prompt-prefix sharing), sampled around
+    /// every decode step.
     pub kv_pages_shared: usize,
     /// Fault/recovery accounting (all-zero on a fault-free run).
     pub recovery: RecoveryStats,

@@ -7,17 +7,18 @@
 //! * **Slab** ([`KvCache::new`]): preallocated `[B, capacity, Hkv·d_head]`
 //!   slabs per layer with a valid length per batch row, so decode steps
 //!   write in place (amortized O(1) per token instead of rebuilding the
-//!   whole cache via concat). This is the PR 3 design and remains the
-//!   reference oracle.
-//! * **Paged** ([`KvCache::paged`]): a global pool of fixed-size pages
-//!   (`page_size` positions each, holding every layer's K and V for those
-//!   positions) addressed through a per-row block table. Pages are
-//!   refcounted: [`KvCache::insert_row_shared`] maps prompt-prefix pages
-//!   already resident (keyed by the exact token prefix they cache) instead
-//!   of rewriting them, and any in-place write to a page referenced by more
-//!   than one row first copies it out (copy-on-write). Eviction is
-//!   page-granular: a shared page returns to the free list only when its
-//!   last reference drops.
+//!   whole cache via concat). It is the cache of the single-chip
+//!   [`ReferenceModel`](crate::ReferenceModel) only — the independent
+//!   oracle the partitioned runtime is checked against.
+//! * **Paged** ([`KvCache::paged`]): the runtime's one KV store. A global
+//!   pool of fixed-size pages (`page_size` positions each, holding every
+//!   layer's K and V for those positions) addressed through a per-row
+//!   block table. Pages are refcounted: [`KvCache::insert_row_shared`]
+//!   maps prompt-prefix pages already resident (keyed by the exact token
+//!   prefix they cache) instead of rewriting them, and any in-place write
+//!   to a page referenced by more than one row first copies it out
+//!   (copy-on-write). Eviction is page-granular: a shared page returns to
+//!   the free list only when its last reference drops.
 //!
 //! Determinism makes prefix sharing exact rather than approximate: causal
 //! attention means K/V at position `p` depend only on tokens `0..=p`, and
@@ -341,6 +342,38 @@ impl KvCache {
             Backend::Slab(_) => None,
             Backend::Paged(p) => Some(p.page_size),
         }
+    }
+
+    /// Pages inserting `tokens` through [`KvCache::insert_row_shared`]
+    /// commits the pool to right now: the page-aligned prefixes the prefix
+    /// registry misses (allocated at once), plus one copy-out when the
+    /// partial last page maps a page another row holds (the first write
+    /// into a shared page copies it out). `0` on the slab backend, which
+    /// has no pages.
+    #[must_use]
+    pub fn insert_pages(&self, tokens: &[usize]) -> usize {
+        let Backend::Paged(p) = &self.backend else { return 0 };
+        let (s, l) = (p.page_size, tokens.len());
+        let missing = (0..l.div_ceil(s))
+            .filter(|pi| !p.registry.contains_key(&tokens[..((pi + 1) * s).min(l)]))
+            .count();
+        let copy_out = !l.is_multiple_of(s) && p.registry.contains_key(tokens);
+        missing + usize::from(copy_out)
+    }
+
+    /// Copy-outs the pool still owes: a registered partial page (a
+    /// prompt's last page, not yet written past the prompt) mapped by `k`
+    /// rows is copied out by the first `k − 1` of them to write into it;
+    /// the last writes in place. Full prompt pages are never written, so
+    /// they owe nothing. `0` on the slab backend.
+    #[must_use]
+    pub fn copy_outs_owed(&self) -> usize {
+        let Backend::Paged(p) = &self.backend else { return 0 };
+        p.registry
+            .iter()
+            .filter(|(key, _)| !key.len().is_multiple_of(p.page_size))
+            .map(|(_, &pid)| p.refs[pid] - 1)
+            .sum()
     }
 
     /// Pool occupancy counters, or `None` for the slab backend.
@@ -984,12 +1017,17 @@ mod tests {
         let mut c = KvCache::paged(2, s);
         let tokens: Vec<usize> = (0..l).collect();
         let kv = layer_kv(2, 1.0, l, d);
+        assert_eq!(c.insert_pages(&tokens), 3, "an empty pool misses every page");
         c.insert_row_shared(0, 3, &kv, &tokens);
         let base = c.page_stats().unwrap();
         assert_eq!(base.pages_live, 3);
         assert_eq!(base.pages_shared, 0);
-        // Same prompt again: all three pages map, nothing new allocates.
+        assert_eq!(c.copy_outs_owed(), 0, "an unshared partial page is written in place");
+        // Same prompt again: all three pages map, nothing new allocates,
+        // but the shared partial page now owes one copy-out.
+        assert_eq!(c.insert_pages(&tokens), 1);
         c.insert_row_shared(1, 3, &kv, &tokens);
+        assert_eq!(c.copy_outs_owed(), 1);
         let st = c.page_stats().unwrap();
         assert_eq!(st.pages_live, 3, "identical prompt allocates nothing");
         assert_eq!(st.pages_shared, 3);
@@ -998,6 +1036,7 @@ mod tests {
         tokens2[9] = 99;
         let mut kv2 = layer_kv(2, 1.0, l, d);
         kv2[1].0.data_mut()[19] = -5.0; // the divergent tail position
+        assert_eq!(c.insert_pages(&tokens2), 1, "only the divergent partial page misses");
         c.insert_row_shared(2, 3, &kv2, &tokens2);
         let st = c.page_stats().unwrap();
         assert_eq!(st.pages_live, 4, "only the divergent partial page allocates");

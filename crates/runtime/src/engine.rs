@@ -7,6 +7,7 @@
 // runtime fault. Faults travel through `try_forward`'s typed error path.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,13 +57,12 @@ fn default_chip_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Which [`KvCache`] backend an engine's chips store their KV shards in.
+/// How an engine's chips store their KV shards: every chip owns one
+/// [`KvCache`] page pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvBackend {
-    /// Per-row preallocated slabs (the PR 3 design; reference baseline).
-    Slab,
     /// Refcounted fixed-size pages behind a block table, with
-    /// copy-on-write prompt-prefix sharing (ROADMAP item 2).
+    /// copy-on-write prompt-prefix sharing.
     Paged {
         /// Positions per page.
         page_size: usize,
@@ -82,23 +82,20 @@ impl Default for KvBackend {
 
 impl KvBackend {
     fn make_cache(self, n_layers: usize) -> KvCache {
-        match self {
-            KvBackend::Slab => KvCache::new(n_layers),
-            KvBackend::Paged { page_size } => KvCache::paged(n_layers, page_size),
-        }
+        let KvBackend::Paged { page_size } = self;
+        KvCache::paged(n_layers, page_size)
     }
 }
 
 /// The `ESTI_KV_PAGE_SIZE` environment default for
-/// [`PartitionedEngine::set_kv_backend`]: unset/invalid picks the paged
-/// backend at [`DEFAULT_KV_PAGE_SIZE`], `0` forces the slab backend, any
-/// positive value picks that page size.
+/// [`PartitionedEngine::set_kv_backend`]: a positive value picks that page
+/// size; unset or invalid (including `0`) picks [`DEFAULT_KV_PAGE_SIZE`].
 fn default_kv_backend() -> KvBackend {
-    match std::env::var("ESTI_KV_PAGE_SIZE").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(0) => KvBackend::Slab,
-        Some(s) => KvBackend::Paged { page_size: s },
-        None => KvBackend::default(),
-    }
+    std::env::var("ESTI_KV_PAGE_SIZE")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&s| s >= 1)
+        .map_or_else(KvBackend::default, |page_size| KvBackend::Paged { page_size })
 }
 
 /// How the engine moves each overlappable collective (Section 3.5).
@@ -536,9 +533,9 @@ impl PartitionedEngine {
         self.chip_workers
     }
 
-    /// Rebuilds every chip's (necessarily empty) KV cache on `backend`.
-    /// Fresh engines start on the `ESTI_KV_PAGE_SIZE` environment default
-    /// — paged at [`DEFAULT_KV_PAGE_SIZE`] when unset, slab for `0`.
+    /// Rebuilds every chip's (necessarily empty) KV page pool on
+    /// `backend`. Fresh engines start on the `ESTI_KV_PAGE_SIZE`
+    /// environment default — [`DEFAULT_KV_PAGE_SIZE`] when unset.
     ///
     /// # Panics
     ///
@@ -566,17 +563,28 @@ impl PartitionedEngine {
     }
 
     /// Page-pool occupancy of the busiest chip (the chip holding the most
-    /// live pages — the one the per-chip memory bound cares about), or
-    /// `None` on the slab backend. Under head-sharded attention every chip
-    /// holds the same rows and block-table structure, so any chip is
-    /// representative; under batch sharding chips hold disjoint row sets
-    /// and the max is the binding one.
+    /// live pages — the one the per-chip memory bound cares about). Under
+    /// head-sharded attention every chip holds the same rows and
+    /// block-table structure, so any chip is representative; under batch
+    /// sharding chips hold disjoint row sets and the max is the binding
+    /// one. Every chip's cache is a page pool, so this is `Some` for any
+    /// engine.
     #[must_use]
     pub fn kv_page_stats(&self) -> Option<PageStats> {
         self.chips
             .iter()
             .filter_map(|c| c.cache.page_stats())
             .max_by_key(|s| (s.pages_live, s.pages_allocated))
+    }
+
+    /// Each chip's KV page pool with the slots its rows hold (slot mode
+    /// only): the per-chip view the batcher's page admission gate charges.
+    pub(crate) fn kv_shards(&self) -> impl Iterator<Item = (Range<usize>, &KvCache)> + '_ {
+        let b = self.batch.expect("kv_shards requires slot mode");
+        self.chips.iter().map(move |c| {
+            let (r0, rc) = self.chip_rows(c, b);
+            (r0..r0 + rc, &c.cache)
+        })
     }
 
     /// Arms `plan` into every chip's group handles: each chip counts its
@@ -932,50 +940,20 @@ impl PartitionedEngine {
         RequestKv { len: len.expect("model has at least one layer"), layers }
     }
 
-    /// Inserts a request's canonical KV into slot `slot`, overwriting
-    /// whatever the slot held; each chip takes its own head shard of its
-    /// own batch rows. Slot mode only.
+    /// Inserts a request's canonical KV into slot `slot`, replacing
+    /// whatever the slot held: each chip holding the slot inserts its head
+    /// shard through its pool's prefix registry
+    /// ([`KvCache::insert_row_shared`]), mapping pages already cached for
+    /// `tokens`' page-aligned prefixes by refcount instead of rewriting
+    /// them. Slot mode only.
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not in slot mode, `slot` is out of range, or
-    /// the KV's layer count or width disagrees with the model.
-    pub fn insert_kv(&mut self, slot: usize, kv: &RequestKv) {
-        let b = self.batch.expect("insert_kv requires slot mode");
-        assert!(slot < b, "slot {slot} out of range for batch {b}");
-        assert_eq!(kv.layers.len(), self.cfg.n_layers, "layer count mismatch");
-        let dh = self.cfg.d_head;
-        let n_kv = self.cfg.n_kv_heads();
-        for ci in 0..self.chips.len() {
-            let (r0, rc) = self.chip_rows(&self.chips[ci], b);
-            if slot < r0 || slot >= r0 + rc {
-                continue;
-            }
-            let (h0, hc) = self.chip_kv_heads(&self.chips[ci]);
-            let chip = &mut self.chips[ci];
-            for (li, (k, v)) in kv.layers.iter().enumerate() {
-                assert_eq!(k.dim(1), n_kv * dh, "canonical KV width mismatch");
-                let ks = k.slice(1, h0 * dh, hc * dh);
-                let vs = v.slice(1, h0 * dh, hc * dh);
-                chip.cache.write_slot(li, slot - r0, rc, &ks, &vs);
-            }
-        }
-        self.row_lens.as_mut().expect("insert_kv requires slot mode")[slot] = kv.len;
-    }
-
-    /// [`PartitionedEngine::insert_kv`] with prompt-prefix sharing: each
-    /// covering chip inserts its head shard of the request through the
-    /// paged backend's prefix registry ([`KvCache::insert_row_shared`]),
-    /// mapping pages already cached for `tokens`' page-aligned prefixes by
-    /// refcount instead of rewriting them. On the slab backend this is
-    /// exactly `insert_kv`. Slot mode only.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`PartitionedEngine::insert_kv`] does, or if `tokens` is
-    /// not exactly `kv.len` tokens (the prompt that produced the KV).
+    /// Panics if the engine is not in slot mode, `slot` is out of range,
+    /// the KV's layer count or width disagrees with the model, or `tokens`
+    /// is not exactly `kv.len` tokens (the prompt that produced the KV).
     pub fn insert_kv_shared(&mut self, slot: usize, kv: &RequestKv, tokens: &[usize]) {
-        let b = self.batch.expect("insert_kv requires slot mode");
+        let b = self.batch.expect("insert_kv_shared requires slot mode");
         assert!(slot < b, "slot {slot} out of range for batch {b}");
         assert_eq!(kv.layers.len(), self.cfg.n_layers, "layer count mismatch");
         assert_eq!(tokens.len(), kv.len, "one prompt token per cached position");
@@ -997,7 +975,7 @@ impl PartitionedEngine {
                 .collect();
             self.chips[ci].cache.insert_row_shared(slot - r0, rc, &shards, tokens);
         }
-        self.row_lens.as_mut().expect("insert_kv requires slot mode")[slot] = kv.len;
+        self.row_lens.as_mut().expect("insert_kv_shared requires slot mode")[slot] = kv.len;
     }
 
     /// Evicts slot `slot`: its cached positions become scratch and its age

@@ -145,10 +145,10 @@ pub fn plan_ledger_json(plan: &ExecPlan) -> String {
     out
 }
 
-/// One JSON object describing the engine's KV cache backend and, for a
-/// paged backend, the busiest chip shard's page pool: allocation
-/// high-water mark, live/free split, and how many live pages are mapped
-/// by more than one slot (copy-on-write prompt sharing).
+/// One JSON object describing the busiest chip shard's KV page pool:
+/// page size, allocation high-water mark, live/free split, and how many
+/// live pages are mapped by more than one slot (copy-on-write prompt
+/// sharing).
 ///
 /// # Examples
 ///
@@ -167,14 +167,12 @@ pub fn plan_ledger_json(plan: &ExecPlan) -> String {
 /// ```
 #[must_use]
 pub fn kv_cache_json(engine: &PartitionedEngine) -> String {
-    match engine.kv_page_stats() {
-        Some(s) => format!(
-            "{{\"backend\": \"paged\", \"page_size\": {}, \"pages_allocated\": {}, \
-             \"pages_live\": {}, \"pages_free\": {}, \"pages_shared\": {}}}",
-            s.page_size, s.pages_allocated, s.pages_live, s.pages_free, s.pages_shared
-        ),
-        None => String::from("{\"backend\": \"slab\"}"),
-    }
+    let s = engine.kv_page_stats().unwrap_or_default();
+    format!(
+        "{{\"backend\": \"paged\", \"page_size\": {}, \"pages_allocated\": {}, \
+         \"pages_live\": {}, \"pages_free\": {}, \"pages_shared\": {}}}",
+        s.page_size, s.pages_allocated, s.pages_live, s.pages_free, s.pages_shared
+    )
 }
 
 #[cfg(test)]

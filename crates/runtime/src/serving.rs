@@ -34,7 +34,8 @@
 //! [`ServingReport::recovery`] and cross-checked against
 //! `esti_netsim::crash_recovery_cost`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -43,7 +44,7 @@ use rand::SeedableRng;
 use esti_collectives::FaultPlan;
 use esti_core::layout::Layout;
 use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
-use esti_model::{PositionKind, ReferenceModel};
+use esti_model::{KvCache, PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
 use crate::engine::{EngineError, ExecMode, KvBackend, PartitionedEngine, WeightFormat};
@@ -106,20 +107,18 @@ pub struct ServingOptions {
     /// knob). Thread count never changes results — the banded kernels are
     /// bit-identical at any worker count.
     pub intra_chip_threads: usize,
-    /// KV-cache backend applied to both tiers (and every engine rebuilt
+    /// KV page size applied to both tiers (and every engine rebuilt
     /// during fault recovery). `None` keeps each engine's own default (the
-    /// `ESTI_KV_PAGE_SIZE` environment knob, defaulting to paged). Backend
-    /// choice never changes results — token streams are bit-identical
-    /// between slab and paged caches.
+    /// `ESTI_KV_PAGE_SIZE` environment knob). Page size never changes
+    /// results — token streams are bit-identical at every page size.
     pub kv_backend: Option<KvBackend>,
-    /// Decode-tier KV memory budget in canonical cache positions (one
-    /// position = one token's K and V across all layers and heads).
-    /// `None` is unlimited. With a paged backend, admission charges the
-    /// page ledger (shared prompt-prefix pages charged once) and defers
-    /// requests that would overflow; with a slab backend the budget caps
-    /// the slot count at `budget / reserve`, every slot pre-charged its
-    /// worst-case length — the paper-baseline policy paged serving is
-    /// benchmarked against at equal memory.
+    /// Decode-tier KV memory budget of each chip's page pool, in cache
+    /// positions (one position = one token's K and V across all layers of
+    /// the chip's heads); the pool holds `budget / page_size` pages.
+    /// `None` is unlimited. Admission reads every pool that would hold the
+    /// request — pages already live, shared prompt-prefix pages mapped
+    /// once, pages live rows may still grow into — and defers requests
+    /// that would overflow.
     pub kv_position_budget: Option<usize>,
     /// Arrived-but-unadmitted requests the scheduler tolerates before
     /// shedding; `None` queues without bound. Shedding removes the
@@ -362,12 +361,13 @@ pub struct BatcherSpec {
     /// re-derives token 0 (asserted against the recording), so replay of
     /// the remaining recorded tokens restarts at index 1.
     pub replay_restarts_at: usize,
-    /// KV page size of the decode tier's cache; `None` on a slab backend
-    /// (the pool model below does not apply).
+    /// KV page size of the decode tier's cache. A live batcher always
+    /// reports it; `None` leaves the pool model below out of an abstract
+    /// spec.
     pub page_size: Option<usize>,
     /// Page-pool admission budget
     /// ([`ServingOptions::kv_position_budget`] `/ page_size`); `None` when
-    /// unbudgeted or slab-backed. When set, admission charges new pages
+    /// unbudgeted. When set, admission charges new pages
     /// (shared prefix pages charged once), growth reservations, and one
     /// idle-slot dummy page per empty slot, and defers requests that would
     /// overflow; eviction refunds a page exactly when its last reference
@@ -451,190 +451,39 @@ fn build_engine(
     engine
 }
 
-/// Virtual page-pool ledger the admission policy charges (paged decode
-/// tier only). It mirrors the physical [`esti_model::KvCache`] paged
-/// backend in *canonical* units — whole heads, undivided by the layout —
-/// so one ledger governs admission identically across shardings.
-///
-/// Accounting invariants (each mirrors a physical transition):
-///
-/// * **admit** charges one page per prompt prefix *not* already registered
-///   by a live request (registry hits map shared pages: charged once),
-///   plus a reservation for every page decode growth can touch — pages the
-///   generation frontier will cross into, and one copy-out page when the
-///   prompt's last page is partial (a write to it may trigger
-///   copy-on-write if shared, or converts it private if not; either way
-///   the reservation bounds the worst case).
-/// * **advance** (one appended token) converts reservations to private
-///   pages at page boundaries and resolves the partial-page frontier on
-///   its first write — exactly the cache's copy-on-write / deregistration
-///   transitions — without changing the slot's total claim.
-/// * **release** refunds private and reserved pages plus every prefix page
-///   whose registry refcount drops to zero — the cache frees a physical
-///   page at precisely that moment.
-struct PageLedger {
+/// Decode growth pages a live row may still allocate. `consumed` is
+/// [`Active::consumed`]: the row caches `prompt + consumed − 1` positions.
+fn pages_to_grow(req: &ServingRequest, consumed: usize, page_size: usize) -> usize {
+    let l = req.prompt.len();
+    (l + req.max_new_tokens).div_ceil(page_size) - (l + consumed - 1).div_ceil(page_size)
+}
+
+/// Pages one chip's pool holds or owes: its live pages, the copy-outs
+/// its shared partial prompt pages still owe, and the growth each live
+/// row in `rows` may still allocate. Idle rows hold no pages here — the
+/// batcher evicts them right after each step. The count depends only on
+/// which requests are live, not on how far they have decoded, so a replay
+/// after a fault recommits exactly what the failed engine had.
+fn pages_committed(
+    cache: &KvCache,
+    rows: Range<usize>,
+    requests: &[ServingRequest],
+    active: &[Option<Active>],
     page_size: usize,
-    /// Admission budget in pages; `None` tracks usage without gating.
-    budget: Option<usize>,
-    /// Live page-aligned prompt prefixes → number of slots mapping them.
-    registry: HashMap<Vec<usize>, usize>,
-    used: usize,
-    peak_used: usize,
-    peak_shared: usize,
-    slots: HashMap<usize, LedgerSlot>,
+) -> usize {
+    let grow: usize = active[rows]
+        .iter()
+        .flatten()
+        .map(|a| pages_to_grow(&requests[a.idx], a.consumed, page_size))
+        .sum();
+    cache.page_stats().map_or(0, |st| st.pages_live) + cache.copy_outs_owed() + grow
 }
 
-/// One admitted slot's claim on the ledger.
-struct LedgerSlot {
-    /// Registered prefix keys this slot maps, in page order.
-    keys: Vec<Vec<usize>>,
-    /// Pages owned by this slot alone (decode growth, copy-outs).
-    private: usize,
-    /// Pages charged at admission but not yet materialized.
-    reserved: usize,
-    /// Cached positions (prompt + appended decode tokens).
-    len: usize,
-    /// The last prompt page is partial *and* still registry-mapped; the
-    /// first decode write resolves it (copy-on-write or deregistration).
-    frontier_keyed: bool,
-}
-
-impl PageLedger {
-    fn new(page_size: usize, budget: Option<usize>) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        PageLedger {
-            page_size,
-            budget,
-            registry: HashMap::new(),
-            used: 0,
-            peak_used: 0,
-            peak_shared: 0,
-            slots: HashMap::new(),
-        }
-    }
-
-    /// `(unshared prompt pages, growth pages, copy-out reservation)` for
-    /// admitting `prompt` with `max_new` generated tokens, against the
-    /// current registry.
-    fn charge_parts(&self, prompt: &[usize], max_new: usize) -> (usize, usize, usize) {
-        let s = self.page_size;
-        let l = prompt.len();
-        let n_pages = l.div_ceil(s);
-        let new_keys = (0..n_pages)
-            .filter(|pi| {
-                let end = ((pi + 1) * s).min(l);
-                !self.registry.contains_key(&prompt[..end])
-            })
-            .count();
-        let grow = (l + max_new).div_ceil(s) - n_pages;
-        let cow = usize::from(max_new > 1 && !l.is_multiple_of(s));
-        (new_keys, grow, cow)
-    }
-
-    /// Pages admitting this request would charge right now.
-    fn plan(&self, prompt: &[usize], max_new: usize) -> usize {
-        let (new_keys, grow, cow) = self.charge_parts(prompt, max_new);
-        new_keys + grow + cow
-    }
-
-    /// Whether `extra` more pages fit the budget (always true unbudgeted).
-    fn fits(&self, extra: usize) -> bool {
-        self.budget.is_none_or(|b| self.used + extra <= b)
-    }
-
-    /// Records an admission: registers/references prompt prefixes and
-    /// charges the pool.
-    fn commit(&mut self, slot: usize, prompt: &[usize], max_new: usize) {
-        let (new_keys, grow, cow) = self.charge_parts(prompt, max_new);
-        let s = self.page_size;
-        let l = prompt.len();
-        let n_pages = l.div_ceil(s);
-        let mut keys = Vec::with_capacity(n_pages);
-        for pi in 0..n_pages {
-            let end = ((pi + 1) * s).min(l);
-            let key = prompt[..end].to_vec();
-            *self.registry.entry(key.clone()).or_insert(0) += 1;
-            keys.push(key);
-        }
-        self.used += new_keys + grow + cow;
-        self.peak_used = self.peak_used.max(self.used);
-        let shared = self.registry.values().filter(|&&r| r >= 2).count();
-        self.peak_shared = self.peak_shared.max(shared);
-        let prior = self.slots.insert(
-            slot,
-            LedgerSlot {
-                keys,
-                private: 0,
-                reserved: grow + cow,
-                len: l,
-                frontier_keyed: !l.is_multiple_of(s),
-            },
-        );
-        assert!(prior.is_none(), "slot {slot} admitted while still charged");
-    }
-
-    /// Records one decode token appended to `slot`'s cache row.
-    fn advance(&mut self, slot: usize) {
-        let s = self.page_size;
-        let Some(rec) = self.slots.get_mut(&slot) else {
-            return; // Slot not ledger-tracked (slab tier never calls this).
-        };
-        let pos = rec.len;
-        rec.len += 1;
-        if pos % s == 0 {
-            // Crossing into a fresh page: a growth reservation materializes.
-            assert!(rec.reserved > 0, "slot {slot} grew past its reservation");
-            rec.reserved -= 1;
-            rec.private += 1;
-        } else if rec.frontier_keyed {
-            // First write into the partial last prompt page.
-            rec.frontier_keyed = false;
-            let Some(key) = rec.keys.pop() else {
-                unreachable!("frontier_keyed implies a registered frontier page");
-            };
-            let Some(refs) = self.registry.get_mut(&key) else {
-                unreachable!("slot keys are always registered");
-            };
-            if *refs > 1 {
-                // Copy-on-write: the copy-out consumes the reservation; the
-                // original page stays with its other references.
-                *refs -= 1;
-                assert!(rec.reserved > 0, "copy-on-write without a reservation");
-                rec.reserved -= 1;
-                rec.private += 1;
-            } else {
-                // Sole reference: the cache deregisters and writes in
-                // place — the page converts from keyed to private, no new
-                // allocation.
-                self.registry.remove(&key);
-                rec.private += 1;
-            }
-        }
-    }
-
-    /// Records an eviction, refunding every page whose last reference this
-    /// slot held.
-    fn release(&mut self, slot: usize) {
-        let Some(rec) = self.slots.remove(&slot) else {
-            return; // Never admitted (idle-slot re-eviction).
-        };
-        let mut refund = rec.private + rec.reserved;
-        for key in rec.keys {
-            if let Some(refs) = self.registry.get_mut(&key) {
-                *refs -= 1;
-                if *refs == 0 {
-                    self.registry.remove(&key);
-                    refund += 1;
-                }
-            }
-        }
-        assert!(self.used >= refund, "page ledger refund exceeds usage");
-        self.used -= refund;
-    }
-
-    /// Minimum free pages observed under the budget (`0` unbudgeted).
-    fn min_free(&self) -> usize {
-        self.budget.map_or(0, |b| b.saturating_sub(self.peak_used))
+/// Raises `peak` to the busiest chip's `(live, shared)` page counts.
+fn observe_pools(engine: &PartitionedEngine, peak: &mut (usize, usize)) {
+    for st in engine.kv_shards().filter_map(|(_, cache)| cache.page_stats()) {
+        peak.0 = peak.0.max(st.pages_live);
+        peak.1 = peak.1.max(st.pages_shared);
     }
 }
 
@@ -714,20 +563,14 @@ impl ContinuousBatcher {
     /// [`BatcherSpec`]).
     #[must_use]
     pub fn spec(&self) -> BatcherSpec {
-        let (page_size, pool_pages) = match self.decode.kv_backend() {
-            KvBackend::Slab => (None, None),
-            KvBackend::Paged { page_size } => (
-                Some(page_size),
-                self.opts.kv_position_budget.map(|b| b / page_size),
-            ),
-        };
+        let KvBackend::Paged { page_size } = self.decode.kv_backend();
         BatcherSpec {
             slots: self.opts.max_decode_batch,
             max_recoveries: self.max_recoveries,
             prefill_emits_first_token: true,
             replay_restarts_at: 1,
-            page_size,
-            pool_pages,
+            page_size: Some(page_size),
+            pool_pages: self.opts.kv_position_budget.map(|b| b / page_size),
             preemption: self.opts.preemption,
         }
     }
@@ -800,9 +643,17 @@ impl ContinuousBatcher {
     /// victim re-enters its class queue and later replays to a
     /// bit-identical stream through the same machinery fault recovery
     /// uses. The decode tier then steps the full slot batch — idle slots
-    /// carry a dummy token and are re-evicted each step so they neither
-    /// age nor allocate. A request leaves its slot the moment its last
-    /// token is sampled.
+    /// carry a dummy token and are evicted right after each step, so they
+    /// never age and hold no pages between steps. A request leaves its
+    /// slot the moment its last token is sampled.
+    ///
+    /// With [`ServingOptions::kv_position_budget`], a request is admitted
+    /// only if every chip pool holding its slot can take it: live pages,
+    /// copy-outs owed, the pages live rows may still grow into, the pages
+    /// inserting the prompt commits the pool to, the request's own
+    /// growth, and one dummy page per row left idle must fit
+    /// `budget / page_size`. Otherwise it waits for evictions to free
+    /// pages.
     ///
     /// Admission control ([`ServingOptions::queue_limit`],
     /// [`ServingOptions::ttft_deadline`]) sheds waiting requests under
@@ -819,7 +670,9 @@ impl ContinuousBatcher {
     ///
     /// [`ServeError::NoRequests`] / [`ServeError::UnsortedArrivals`] /
     /// [`ServeError::EmptyPrompt`] / [`ServeError::PromptTooLong`] reject
-    /// the submission before any engine work; [`ServeError::Engine`] and
+    /// the submission before any engine work;
+    /// [`ServeError::KvBudgetExceeded`] rejects a request that cannot fit
+    /// an otherwise empty chip pool; [`ServeError::Engine`] and
     /// [`ServeError::RecoveryLimit`] report faults recovery could not
     /// absorb.
     pub fn try_serve(&mut self, requests: &[ServingRequest]) -> Result<ServingOutcome, ServeError> {
@@ -839,36 +692,10 @@ impl ContinuousBatcher {
                 return Err(ServeError::PromptTooLong { index, needed, max_seq: cfg.max_seq });
             }
         }
-        let mut cap = self.opts.max_decode_batch;
+        let cap = self.opts.max_decode_batch;
         let reserve =
             requests.iter().map(|r| r.prompt.len() + r.max_new_tokens).max().unwrap_or(0);
-        let mut ledger = match self.decode.kv_backend() {
-            KvBackend::Paged { page_size } => Some(PageLedger::new(
-                page_size,
-                self.opts.kv_position_budget.map(|b| b / page_size),
-            )),
-            KvBackend::Slab => {
-                // Slab budgeting: every slot pre-charges the worst-case
-                // request length, so the budget simply caps the slot count.
-                if let Some(budget) = self.opts.kv_position_budget {
-                    let fit = budget / reserve.max(1);
-                    if fit == 0 {
-                        let index = requests
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(_, r)| r.prompt.len() + r.max_new_tokens)
-                            .map_or(0, |(i, _)| i);
-                        return Err(ServeError::KvBudgetExceeded {
-                            index,
-                            needed: reserve,
-                            budget,
-                        });
-                    }
-                    cap = cap.min(fit);
-                }
-                None
-            }
-        };
+        let KvBackend::Paged { page_size } = self.decode.kv_backend();
         self.decode.begin_slots(cap, reserve);
         let pad = self.prefill.min_batch();
 
@@ -893,6 +720,8 @@ impl ContinuousBatcher {
         let mut recovery = RecoveryStats::default();
         let mut steps_done = 0usize;
         let mut peak_live = 0usize;
+        // Busiest chip's (live, shared) pages, sampled around every step.
+        let mut peak_pages = (0usize, 0usize);
 
         loop {
             // Arrived requests join their class queue.
@@ -912,9 +741,6 @@ impl ContinuousBatcher {
                 if let Some(a) = active[slot].take() {
                     waiting[requests[a.idx].priority.index()].push_front(a.idx);
                     self.decode.evict_slot(slot);
-                    if let Some(led) = &mut ledger {
-                        led.release(slot);
-                    }
                     preemptions += 1;
                 }
             }
@@ -988,35 +814,40 @@ impl ContinuousBatcher {
                         waiting[requests[v].priority.index()].push_front(v);
                         active[s] = None;
                         self.decode.evict_slot(s);
-                        if let Some(led) = &mut ledger {
-                            led.release(s);
-                        }
                         preemptions += 1;
                         s
                     }
                     None => break,
                 };
                 let Some(&idx) = waiting[class.index()].front() else { break };
-                // Page-pool admission gate (paged decode tier). The charge
-                // covers this request's unshared prompt pages plus growth
-                // reservations; the idle allowance covers the one dummy
-                // page each still-empty slot transiently holds per step, so
-                // the physical pool never outgrows the budget.
-                if requests[idx].max_new_tokens > 1 {
-                    if let Some(led) = &ledger {
-                        let req = &requests[idx];
-                        let charge = led.plan(&req.prompt, req.max_new_tokens);
-                        let live_now = active.iter().flatten().count();
-                        let idle_after = cap - (live_now + 1);
-                        if !led.fits(charge + idle_after) {
-                            if live_now == 0 {
+                // Page-pool admission gate. Every chip holding the slot
+                // must fit its committed pages, the pages inserting this
+                // prompt commits it to, this request's growth, and the one
+                // dummy page each row left idle holds during the next
+                // step — so no chip's pool outgrows the budget. A request
+                // done at prefill never enters the pool.
+                let req = &requests[idx];
+                if let Some(budget) =
+                    self.opts.kv_position_budget.filter(|_| req.max_new_tokens > 1)
+                {
+                    for (rows, cache) in self.decode.kv_shards() {
+                        if !rows.contains(&slot) {
+                            continue;
+                        }
+                        let live = active[rows.clone()].iter().flatten().count();
+                        let idle_after = rows.len() - live - 1;
+                        let need =
+                            pages_committed(cache, rows, requests, &active, page_size)
+                                + cache.insert_pages(&req.prompt)
+                                + pages_to_grow(req, 1, page_size)
+                                + idle_after;
+                        if need > budget / page_size {
+                            if live == 0 {
                                 // Nothing to evict will ever free enough:
                                 // the request cannot fit even alone.
-                                let budget =
-                                    self.opts.kv_position_budget.unwrap_or(usize::MAX);
                                 return Err(ServeError::KvBudgetExceeded {
                                     index: idx,
-                                    needed: (led.used + charge + idle_after) * led.page_size,
+                                    needed: need * page_size,
                                     budget,
                                 });
                             }
@@ -1025,7 +856,6 @@ impl ContinuousBatcher {
                     }
                 }
                 waiting[class.index()].pop_front();
-                let req = &requests[idx];
                 let replaying = !outputs[idx].is_empty();
                 let last_logits = self.prefill_with_retry(&req.prompt, pad, &mut recovery)?;
                 let mut rng = StdRng::seed_from_u64(req.seed);
@@ -1054,9 +884,6 @@ impl ContinuousBatcher {
                 }
                 let kv = self.prefill.extract_kv(0);
                 self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-                if let Some(led) = &mut ledger {
-                    led.commit(slot, &req.prompt, req.max_new_tokens);
-                }
                 active[slot] = Some(Active { idx, rng, next_tok: tok, consumed: 1 });
             }
 
@@ -1077,13 +904,18 @@ impl ContinuousBatcher {
                 continue;
             }
 
-            // Idle slots are re-evicted so their dummy appends neither age
-            // their positions nor grow their slabs.
-            for (s, slot) in active.iter().enumerate() {
-                if slot.is_none() {
-                    self.decode.evict_slot(s);
-                }
-            }
+            // Step-boundary invariant of the gate: no chip's live pages
+            // plus the pages it still owes its live rows exceed the budget.
+            debug_assert!(
+                self.opts.kv_position_budget.is_none_or(|budget| {
+                    self.decode.kv_shards().all(|(rows, cache)| {
+                        pages_committed(cache, rows, requests, &active, page_size)
+                            <= budget / page_size
+                    })
+                }),
+                "a chip's committed KV pages exceed kv_position_budget"
+            );
+            observe_pools(&self.decode, &mut peak_pages);
 
             // Scheduled chaos: arm the one-shot fault plan at its step.
             if matches!(self.decode_fault, Some((at, _)) if at == steps_done) {
@@ -1107,7 +939,6 @@ impl ContinuousBatcher {
                         reserve,
                         pad,
                         &mut recovery,
-                        &mut ledger,
                         err,
                     )?;
                     continue;
@@ -1116,14 +947,11 @@ impl ContinuousBatcher {
             steps_done += 1;
             step_log.push((live, t_step.elapsed().as_secs_f64()));
             occupancy_sum += live;
+            observe_pools(&self.decode, &mut peak_pages);
 
             let v = cfg.vocab;
             for (s, slot) in active.iter_mut().enumerate() {
                 let Some(a) = slot else { continue };
-                // The step appended this row's input token to its cache.
-                if let Some(led) = &mut ledger {
-                    led.advance(s);
-                }
                 let row = &logits.data()[s * v..(s + 1) * v];
                 let tok = sample_row(&mut a.rng, row, self.opts.sampling);
                 if a.consumed < outputs[a.idx].len() {
@@ -1143,12 +971,16 @@ impl ContinuousBatcher {
                 if a.consumed == requests[a.idx].max_new_tokens {
                     finished_at[a.idx] = now();
                     *slot = None;
-                    self.decode.evict_slot(s);
-                    if let Some(led) = &mut ledger {
-                        led.release(s);
-                    }
                 } else {
                     a.next_tok = tok;
+                }
+            }
+            // Finished and idle rows give back their pages (an idle row's
+            // dummy append included) and restart at position zero, so the
+            // next boundary's gate sees live rows only.
+            for (s, slot) in active.iter().enumerate() {
+                if slot.is_none() {
+                    self.decode.evict_slot(s);
                 }
             }
         }
@@ -1166,12 +998,14 @@ impl ContinuousBatcher {
             })
             .collect();
         let total_generated = outputs.iter().map(Vec::len).sum();
-        let mut report = ServingReport::new(stats, step_log.len(), occupancy_sum)
+        let pages_free = self
+            .opts
+            .kv_position_budget
+            .map_or(0, |b| (b / page_size).saturating_sub(peak_pages.0));
+        let report = ServingReport::new(stats, step_log.len(), occupancy_sum)
             .with_recovery(recovery)
-            .with_peak_batch(peak_live);
-        if let Some(led) = &ledger {
-            report = report.with_kv_pages(led.min_free(), led.peak_shared);
-        }
+            .with_peak_batch(peak_live)
+            .with_kv_pages(pages_free, peak_pages.1);
         Ok(ServingOutcome {
             report,
             step_log,
@@ -1200,7 +1034,6 @@ impl ContinuousBatcher {
         reserve: usize,
         pad: usize,
         recovery: &mut RecoveryStats,
-        ledger: &mut Option<PageLedger>,
         err: EngineError,
     ) -> Result<(), ServeError> {
         recovery.faults += 1;
@@ -1217,18 +1050,10 @@ impl ContinuousBatcher {
             self.opts.kv_backend,
         );
         self.decode.set_collective_deadline(self.deadline);
+        // The rebuilt pools start empty; each replayed request re-inserts
+        // through the shared-prefix path, so prompt prefixes re-share
+        // exactly as they did before the fault.
         self.decode.begin_slots(cap, reserve);
-        // The rebuilt cache starts empty, so the ledger restarts too: each
-        // replayed request re-admits (re-sharing prompt prefixes exactly as
-        // the fresh block tables do) and the replay steps re-advance it.
-        // Peaks carry over — they describe the whole serve call.
-        if let Some(led) = ledger {
-            *led = PageLedger {
-                peak_used: led.peak_used,
-                peak_shared: led.peak_shared,
-                ..PageLedger::new(led.page_size, led.budget)
-            };
-        }
         let mut steps_lost = 0usize;
         for (slot, entry) in active.iter_mut().enumerate() {
             let Some(idx) = entry.as_ref().map(|a| a.idx) else { continue };
@@ -1240,9 +1065,6 @@ impl ContinuousBatcher {
             assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
             let kv = self.prefill.extract_kv(0);
             self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-            if let Some(led) = ledger {
-                led.commit(slot, &req.prompt, req.max_new_tokens);
-            }
             *entry = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
             recovery.requests_replayed += 1;
             recovery.prefill_tokens_replayed += req.prompt.len();

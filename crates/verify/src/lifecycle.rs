@@ -322,7 +322,7 @@ pub struct LifecycleReport {
 }
 
 /// A request's slot, mirroring the scheduler's `Active` plus its page
-/// claim (zeroes when the spec is slab-backed).
+/// claim (zeroes when the spec models no page pool).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     idx: usize,
